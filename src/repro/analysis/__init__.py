@@ -47,14 +47,12 @@ __all__ = [
 ]
 
 
-def run_paths(paths, rules=None, jobs=1, index_cache=None) -> "AnalysisResult":
-    """Analyze ``paths`` (files or directories) with ``rules``.
+def run_paths(paths, rules=None) -> "AnalysisResult":
+    """Analyze ``paths`` (files or directories) with ``rules`` (default:
+    the full suite).
 
     This is the library/pytest entry point; the CLI in
-    :mod:`repro.analysis.cli` is a thin wrapper around it.  ``jobs``
-    parallelizes source loading (results are identical either way);
-    ``index_cache`` persists program-index summaries between runs.
+    :mod:`repro.analysis.cli` is a thin wrapper around it.
     """
-    analyzer = Analyzer(rules if rules is not None else default_rules(),
-                        index_cache=index_cache)
-    return analyzer.run(paths, jobs=jobs)
+    analyzer = Analyzer(rules if rules is not None else default_rules())
+    return analyzer.run(paths)

@@ -4,12 +4,9 @@ Exit status is a pinned contract (tests/test_analysis.py::TestCLI):
 0 clean, 1 findings (or unparseable files), 2 framework/usage error.
 
 ``--format`` selects text (default), ``json`` (the byte-deterministic
-result dictionary), ``sarif`` (SARIF 2.1.0 for code-scanning upload),
-or ``github`` (inline ``::error`` annotations for Actions runs).
-``--jobs`` parallelizes source loading; ``--index-cache`` persists the
-whole-program summary cache across runs (CI keys it on source hashes).
-Program-index build accounting goes to stderr so every format's stdout
-stays deterministic.
+result dictionary, pinned on the fixtures by
+``tests/golden/analysis_fixtures.json``), or ``github`` (inline
+``::error`` annotations for Actions runs, what CI uses).
 """
 
 from __future__ import annotations
@@ -17,11 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.core import AnalysisError, Analyzer, Rule
-from repro.analysis.formats import to_github, to_sarif
+from repro.analysis.formats import to_github
 from repro.analysis.rules import ALL_RULES, default_rules
 
 
@@ -50,24 +46,18 @@ def _list_rules() -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="HighLight domain-specific static analysis "
-                    "(invariants HL001-HL013; see docs/ANALYSIS.md)")
+        description=f"HighLight domain-specific static analysis "
+                    f"(invariants {ALL_RULES[0].code}-{ALL_RULES[-1].code}; "
+                    f"see docs/ANALYSIS.md)")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to analyze "
                              "(default: src)")
     parser.add_argument("--format",
-                        choices=("text", "json", "sarif", "github"),
+                        choices=("text", "json", "github"),
                         default="text", help="output format")
     parser.add_argument("--select", metavar="CODES",
                         help="comma-separated rule codes to run "
                              "(default: all)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel source-loading workers "
-                             "(default: 1; output is identical either "
-                             "way)")
-    parser.add_argument("--index-cache", metavar="PATH", default=None,
-                        help="JSON file persisting per-module program-"
-                             "index summaries between runs")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     args = parser.parse_args(argv)
@@ -75,30 +65,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 2
 
     try:
-        rules = _select_rules(args.select)
-        cache = Path(args.index_cache) if args.index_cache else None
-        analyzer = Analyzer(rules, index_cache=cache)
-        result = analyzer.run(args.paths, jobs=args.jobs)
+        result = Analyzer(_select_rules(args.select)).run(args.paths)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if result.index_stats is not None:
-        # Accounting goes to stderr: stdout must stay byte-identical
-        # across runs for the determinism contract.
-        print(result.index_stats.format(), file=sys.stderr)
-
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(json.dumps(to_sarif(result, rules), indent=2,
-                         sort_keys=True))
     elif args.format == "github":
         for line in to_github(result):
             print(line)

@@ -1,11 +1,13 @@
 """The analysis framework: source files, findings, rules, and the driver.
 
 One :class:`SourceFile` per analyzed module carries the parsed AST, the
-derived dotted module name (used for rule scoping), and the per-line
-``# noqa`` suppression table.  A :class:`Rule` is an AST visitor plugin
-identified by an ``HL0xx`` code; the :class:`Analyzer` runs a two-phase
-pass (``prepare`` across all files, then ``check`` per file) so rules
-like HL004 can collect repo-wide facts before judging individual lines.
+derived dotted module name (used for rule scoping), the per-line
+``# noqa`` suppression table, and the memoised subtree walk that every
+rule and the program layer share (:meth:`SourceFile.walk`).  A
+:class:`Rule` is an AST visitor plugin identified by an ``HL0xx`` code;
+the :class:`Analyzer` runs a two-phase pass (``prepare`` across all
+files, then ``check`` per file) so rules like HL004 can collect
+repo-wide facts before judging individual lines.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from __future__ import annotations
 import ast
 import io
 import re
-import threading
 import tokenize
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -63,15 +63,6 @@ class Finding:
                 "code": self.code, "message": self.message}
 
 
-#: CPython 3.11 tracks the AST constructor's recursion depth in
-#: *per-interpreter* state (Python-ast.c), so two ``compile()`` calls
-#: overlapping across threads corrupt the counter and raise
-#: ``SystemError: AST constructor recursion depth mismatch``.  Parsing
-#: therefore serializes on this lock; file reads and the tokenize scan
-#: still run in parallel under ``--jobs``.
-_AST_PARSE_LOCK = threading.Lock()
-
-
 class SourceFile:
     """A parsed module plus the metadata rules match against."""
 
@@ -79,14 +70,18 @@ class SourceFile:
         self.path = path
         self.display_path = display_path
         self.text = text
-        with _AST_PARSE_LOCK:
-            self.tree = ast.parse(text, filename=str(path))
+        self.tree = ast.parse(text, filename=str(path))
         self.module = dotted_name(path)
+        #: id(root) -> every node under root; see :meth:`walk`.
+        self._walks: Dict[int, List[ast.AST]] = {}
         #: line -> frozenset of suppressed codes; empty set = blanket noqa.
         #: Only real COMMENT tokens count — a ``"# noqa"`` inside a string
         #: literal must not suppress anything, so the scan tokenizes the
-        #: source instead of regexing raw lines.
+        #: source instead of regexing raw lines.  Most files hold no
+        #: ``noqa`` at all and skip the (costly) tokenize pass.
         self.noqa: Dict[int, FrozenSet[str]] = {}
+        if "noqa" not in text.lower():
+            return
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if tok.type != tokenize.COMMENT:
                 continue
@@ -99,6 +94,35 @@ class SourceFile:
             else:
                 self.noqa[tok.start[0]] = frozenset(
                     c.strip().upper() for c in codes.split(","))
+
+    def walk(self, node: Optional[ast.AST] = None) -> List[ast.AST]:
+        """Every node under ``node`` (default: the module), in
+        :func:`ast.walk` order.
+
+        Rules, summaries and dataflow all ask for the same subtrees, so
+        each one is enumerated once and the list reused.  The order is
+        ast.walk's breadth-first order, so a rule that stops at its
+        first match sees the same node either way.  Each list starts
+        with its root, which keeps the root alive and its ``id`` key
+        unambiguous for as long as this file (one analysis run) lives.
+        """
+        root = self.tree if node is None else node
+        nodes = self._walks.get(id(root))
+        if nodes is None:
+            # ast.walk's queue, kept as the result: scanning the list
+            # while appending each node's children (ast.iter_child_nodes'
+            # field order) yields the same order without its generators.
+            nodes = [root]
+            for sub in nodes:
+                for name in sub._fields:
+                    value = getattr(sub, name, None)
+                    if isinstance(value, ast.AST):
+                        nodes.append(value)
+                    elif isinstance(value, list):
+                        nodes.extend(item for item in value
+                                     if isinstance(item, ast.AST))
+            self._walks[id(root)] = nodes
+        return nodes
 
     def suppresses(self, finding: Finding) -> bool:
         """True if a ``# noqa`` comment covers ``finding``."""
@@ -198,10 +222,6 @@ class AnalysisResult:
     suppressed: List[Finding] = field(default_factory=list)
     files_analyzed: int = 0
     errors: List[str] = field(default_factory=list)
-    #: Program-index build accounting (None when no rule needed it).
-    #: Deliberately excluded from :meth:`to_dict`: build timing would
-    #: break byte-identical output determinism.
-    index_stats: Optional[object] = None
 
     @property
     def ok(self) -> bool:
@@ -227,15 +247,12 @@ class AnalysisResult:
 class Analyzer:
     """Loads sources, runs every rule, filters ``# noqa`` suppressions."""
 
-    def __init__(self, rules: Sequence[Rule],
-                 index_cache: Optional[Path] = None) -> None:
+    def __init__(self, rules: Sequence[Rule]) -> None:
         codes = [r.code for r in rules]
         dupes = {c for c in codes if codes.count(c) > 1}
         if dupes:
             raise AnalysisError(f"duplicate rule codes: {sorted(dupes)}")
         self.rules = list(rules)
-        #: On-disk summary-cache location for the whole-program index.
-        self.index_cache = index_cache
 
     # -- source loading ----------------------------------------------------
 
@@ -266,44 +283,29 @@ class Analyzer:
         return out
 
     def load(self, paths: Iterable[str],
-             errors: Optional[List[str]] = None,
-             jobs: int = 1) -> List[SourceFile]:
-        """Parse every collected file; ``jobs > 1`` parses in parallel.
+             errors: Optional[List[str]] = None) -> List[SourceFile]:
+        """Parse every collected file, in collection order.
 
-        Output is ordered by collection order either way, so serial and
-        parallel loads feed rules byte-identical input (pinned by the
-        determinism test in ``tests/test_analysis.py``).
+        A syntax error is appended to ``errors`` when given, else raised.
         """
-        collected = self.collect_files(paths)
-
-        def parse(path: Path):
+        files: List[SourceFile] = []
+        for path in self.collect_files(paths):
             text = path.read_text(encoding="utf-8")
             try:
-                return SourceFile(path, str(path), text), None
+                files.append(SourceFile(path, str(path), text))
             except SyntaxError as exc:
-                return None, (f"{path}: syntax error: {exc.msg} "
-                              f"(line {exc.lineno})")
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parsed = list(pool.map(parse, collected))
-        else:
-            parsed = [parse(path) for path in collected]
-        files: List[SourceFile] = []
-        for sf, err in parsed:
-            if err is not None:
+                err = (f"{path}: syntax error: {exc.msg} "
+                       f"(line {exc.lineno})")
                 if errors is None:
-                    raise AnalysisError(err)
+                    raise AnalysisError(err) from exc
                 errors.append(err)
-            else:
-                files.append(sf)
         return files
 
     # -- driving -----------------------------------------------------------
 
-    def run(self, paths: Iterable[str], jobs: int = 1) -> AnalysisResult:
+    def run(self, paths: Iterable[str]) -> AnalysisResult:
         result = AnalysisResult()
-        files = self.load(paths, errors=result.errors, jobs=jobs)
+        files = self.load(paths, errors=result.errors)
         result.files_analyzed = len(files)
         for rule in self.rules:
             rule.prepare(files)
@@ -311,8 +313,7 @@ class Analyzer:
             # One shared index per run; building it per rule would
             # triple the dominant cost of a whole-tree pass.
             from repro.analysis.program.index import ProgramIndex
-            program = ProgramIndex.build(files, cache_path=self.index_cache)
-            result.index_stats = program.stats
+            program = ProgramIndex.build(files)
             for rule in self.rules:
                 if rule.uses_program:
                     rule.prepare_program(program)

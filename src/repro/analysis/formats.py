@@ -1,74 +1,18 @@
-"""Output renderers for analysis results: SARIF and GitHub annotations.
+"""Output renderer for GitHub Actions annotations.
 
-Two machine formats beyond the CLI's text/JSON:
-
-* **SARIF 2.1.0** (``--format sarif``) — the interchange format GitHub
-  code scanning ingests; one run, one driver, the full rule catalogue
-  under ``tool.driver.rules`` and one ``result`` per finding.
-* **GitHub workflow commands** (``--format github``) — ``::error``
-  annotation lines the Actions runner turns into inline PR annotations;
-  zero extra tooling in CI.
-
-Both renderers are pure functions of the (sorted) result, so their
-output inherits the analyzer's byte-identical determinism.
+``--format github`` prints one ``::error`` workflow command per finding;
+the Actions runner turns them into inline PR annotations, with no extra
+tooling in CI.  The renderer is a pure function of the (sorted) result,
+so its output inherits the analyzer's byte-identical determinism.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List
 
-from repro.analysis.core import AnalysisResult, Rule
+from repro.analysis.core import AnalysisResult
 
-__all__ = ["to_github", "to_sarif"]
-
-_SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                 "master/Schemata/sarif-schema-2.1.0.json")
-
-
-def to_sarif(result: AnalysisResult,
-             rules: Sequence[Rule]) -> Dict[str, object]:
-    """Render ``result`` as a SARIF 2.1.0 log dictionary."""
-    rule_meta = [
-        {
-            "id": rule.code,
-            "name": rule.name,
-            "shortDescription": {"text": rule.name},
-            "fullDescription": {"text": rule.rationale},
-        }
-        for rule in sorted(rules, key=lambda r: r.code)
-    ]
-    results: List[Dict[str, object]] = []
-    for f in sorted(result.findings):
-        results.append({
-            "ruleId": f.code,
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.path},
-                    "region": {
-                        "startLine": f.line,
-                        # SARIF columns are 1-based; AST columns 0-based.
-                        "startColumn": f.col + 1,
-                    },
-                },
-            }],
-        })
-    return {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro-analysis",
-                    "informationUri":
-                        "https://example.invalid/docs/ANALYSIS.md",
-                    "rules": rule_meta,
-                },
-            },
-            "results": results,
-        }],
-    }
+__all__ = ["to_github"]
 
 
 def to_github(result: AnalysisResult) -> List[str]:

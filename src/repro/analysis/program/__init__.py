@@ -11,9 +11,7 @@ Three pieces:
   :class:`ModuleSummary` per file: the defined functions and classes,
   an import-resolved candidate target list per call site, inferred
   attribute/local types, wall-clock source calls, and per-function
-  borrow taint facts.  A summary is a pure, JSON-serializable function
-  of the file's text, which is what makes the on-disk index cache
-  (keyed on content hashes) sound.
+  borrow taint facts.  A summary is a pure function of one file.
 * :mod:`repro.analysis.program.index` — combines summaries into a
   :class:`ProgramIndex`: the project-wide function table, the resolved
   call graph, the transitive-call closure helpers, and the fixpoint
@@ -25,16 +23,17 @@ Three pieces:
 
 Rules opt in by setting ``uses_program = True`` and implementing
 ``prepare_program(index)``; the :class:`~repro.analysis.core.Analyzer`
-builds one shared index per run and hands it to every such rule.
+builds one shared index per run and hands it to every such rule.  All
+three pieces enumerate AST subtrees through the per-file memoised
+:meth:`~repro.analysis.core.SourceFile.walk`, shared with the rules.
 """
 
-from repro.analysis.program.index import IndexStats, ProgramIndex
+from repro.analysis.program.index import ProgramIndex
 from repro.analysis.program.summary import (FunctionSummary, ModuleSummary,
                                             summarize)
 
 __all__ = [
     "FunctionSummary",
-    "IndexStats",
     "ModuleSummary",
     "ProgramIndex",
     "summarize",

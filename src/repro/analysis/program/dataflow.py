@@ -35,6 +35,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
+from repro.analysis.core import SourceFile
+
 __all__ = [
     "BorrowAnalysis",
     "Escape",
@@ -54,18 +56,24 @@ PASSTHROUGH_HELPERS = frozenset({"block_views", "split_refs"})
 _CAPTURING_METHODS = frozenset({"append", "extend", "insert", "add",
                                 "appendleft", "setdefault", "update"})
 
+#: The only node types :meth:`_BorrowEngine.propagate` and
+#: :meth:`_BorrowEngine.report` act on.
+_FLOW_NODES = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For,
+               ast.AsyncFor, ast.Call, ast.Return)
+
 _REF = "ref"
 _VIEW = "view"
 
 
-def name_bindings(node: ast.AST) -> Dict[str, List[ast.AST]]:
+def name_bindings(sf: SourceFile,
+                  node: ast.AST) -> Dict[str, List[ast.AST]]:
     """Every name -> the list of value expressions bound to it (reaching
     definitions without kill: all bindings anywhere in ``node``)."""
     out: Dict[str, List[ast.AST]] = {}
-    for sub in ast.walk(node):
+    for sub in sf.walk(node):
         if isinstance(sub, ast.Assign):
             for target in sub.targets:
-                for name in _target_names(target):
+                for name in _target_names(sf, target):
                     out.setdefault(name, []).append(sub.value)
         elif isinstance(sub, ast.AnnAssign) and sub.value is not None:
             if isinstance(sub.target, ast.Name):
@@ -74,13 +82,13 @@ def name_bindings(node: ast.AST) -> Dict[str, List[ast.AST]]:
             if isinstance(sub.target, ast.Name):
                 out.setdefault(sub.target.id, []).append(sub.value)
         elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            for name in _target_names(sub.target):
+            for name in _target_names(sf, sub.target):
                 out.setdefault(name, []).append(sub.iter)
     return out
 
 
-def _target_names(target: ast.AST) -> List[str]:
-    return [n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+def _target_names(sf: SourceFile, target: ast.AST) -> List[str]:
+    return [n.id for n in sf.walk(target) if isinstance(n, ast.Name)
             and isinstance(n.ctx, ast.Store)]
 
 
@@ -117,19 +125,21 @@ class BorrowAnalysis:
 
 
 class _BorrowEngine:
-    def __init__(self, fn: ast.AST,
+    def __init__(self, sf: SourceFile, fn: ast.AST,
                  call_resolver: Callable[[ast.Call], Sequence[str]],
                  is_borrow_call: Optional[Callable[[Sequence[str]], bool]],
                  module_scope: bool) -> None:
+        self.sf = sf
         self.fn = fn
         self.call_resolver = call_resolver
         self.is_borrow_call = is_borrow_call
         self.module_scope = module_scope
         self.taint: Dict[str, str] = {}        # name -> _REF | _VIEW
         self.result = BorrowAnalysis()
-        self.locals: Set[str] = set(name_bindings(fn))
+        self.bindings = name_bindings(sf, fn)
+        self.locals: Set[str] = set(self.bindings)
         self.globals_decl: Set[str] = set()
-        for node in ast.walk(fn):
+        for node in sf.walk(fn):
             if isinstance(node, ast.Global):
                 self.globals_decl.update(node.names)
         if not module_scope:
@@ -200,10 +210,12 @@ class _BorrowEngine:
 
     def run(self) -> BorrowAnalysis:
         # Pass 1 twice: converge taint through loops; pass 3: report.
+        nodes = [node for node in self.sf.walk(self.fn)
+                 if isinstance(node, _FLOW_NODES)]
         for _ in range(2):
-            for node in ast.walk(self.fn):
+            for node in nodes:
                 self.propagate(node)
-        for node in ast.walk(self.fn):
+        for node in nodes:
             self.report(node)
         return self.result
 
@@ -211,7 +223,7 @@ class _BorrowEngine:
         if isinstance(node, ast.Assign):
             kind = self.kind_of(node.value)
             for target in node.targets:
-                for name in _target_names(target):
+                for name in _target_names(self.sf, target):
                     if kind is not None:
                         self.taint[name] = kind
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -225,7 +237,7 @@ class _BorrowEngine:
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             kind = self.kind_of(node.iter)
             if kind is not None:
-                for name in _target_names(node.target):
+                for name in _target_names(self.sf, node.target):
                     self.taint[name] = kind
         elif isinstance(node, ast.Call):
             # container.append(borrow) taints a *local* container.
@@ -254,7 +266,7 @@ class _BorrowEngine:
         if isinstance(value, ast.Call):
             return [value]
         if isinstance(value, ast.Name):
-            bindings = name_bindings(self.fn).get(value.id, [])
+            bindings = self.bindings.get(value.id, [])
             return [b for b in bindings if isinstance(b, ast.Call)]
         if isinstance(value, (ast.Tuple, ast.List)):
             out: List[ast.Call] = []
@@ -339,11 +351,13 @@ class _BorrowEngine:
 
 
 def analyze_borrows(
+        sf: SourceFile,
         fn: ast.AST,
         call_resolver: Callable[[ast.Call], Sequence[str]],
         is_borrow_call: Optional[Callable[[Sequence[str]], bool]] = None,
         module_scope: bool = False) -> BorrowAnalysis:
-    """Run the borrow taint/escape analysis over one function body.
+    """Run the borrow taint/escape analysis over one function body
+    (``fn``, a node of ``sf``'s tree).
 
     ``call_resolver`` maps a call expression to candidate dotted targets
     (see :func:`repro.analysis.program.summary.call_candidates`).  With
@@ -352,5 +366,5 @@ def analyze_borrows(
     ``returns_borrow_if``; with it set (HL011's check phase, backed by
     the index fixpoint), they resolve immediately and escapes are exact.
     """
-    return _BorrowEngine(fn, call_resolver, is_borrow_call,
+    return _BorrowEngine(sf, fn, call_resolver, is_borrow_call,
                          module_scope).run()

@@ -1,9 +1,8 @@
-"""Per-module summaries: the cacheable unit of whole-program analysis.
+"""Per-module summaries: the unit of whole-program analysis.
 
-A :class:`ModuleSummary` is a pure function of one file's text — no
-other file is consulted — so the index cache can reuse it for any file
-whose content hash is unchanged.  Cross-file questions ("is this call
-target a project function?", "does this function transitively reach
+A :class:`ModuleSummary` is a pure function of one parsed file — no
+other file is consulted.  Cross-file questions ("is this call target a
+project function?", "does this function transitively reach
 ``time.time()``?") are deliberately deferred to
 :class:`~repro.analysis.program.index.ProgramIndex`, which owns the
 combined view.
@@ -38,7 +37,6 @@ from repro.analysis.rules.util import dotted_chain
 
 __all__ = [
     "ACTOR_CLASS",
-    "BORROW_METHODS",
     "CLOCK_IMPORT_BANS",
     "CLOCK_SUFFIXES",
     "FunctionSummary",
@@ -71,18 +69,14 @@ CLOCK_IMPORT_BANS = {
     "datetime": {"datetime", "date"},
 }
 
-#: Method names whose call yields borrowed extent ranges from a store.
-BORROW_METHODS = frozenset({"read_refs", "readv"})
-
 #: The project actor class; attributes/locals constructed from it are
 #: actor-typed for HL012.
 ACTOR_CLASS = "repro.sim.actor.Actor"
-_ACTOR_CTOR_NAMES = frozenset({"Actor"})
 
 
 @dataclass
 class FunctionSummary:
-    """Facts about one function, serializable for the index cache."""
+    """Facts about one function."""
 
     qname: str
     line: int = 0
@@ -97,26 +91,6 @@ class FunctionSummary:
     #: Parameter names that carry the executing actor.
     actor_params: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qname": self.qname,
-            "line": self.line,
-            "calls": sorted(set(self.calls)),
-            "clock_calls": sorted(set(self.clock_calls)),
-            "returns_borrow_direct": self.returns_borrow_direct,
-            "returns_borrow_if": sorted(set(self.returns_borrow_if)),
-            "actor_params": list(self.actor_params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FunctionSummary":
-        return cls(qname=data["qname"], line=data["line"],
-                   calls=list(data["calls"]),
-                   clock_calls=list(data["clock_calls"]),
-                   returns_borrow_direct=data["returns_borrow_direct"],
-                   returns_borrow_if=list(data["returns_borrow_if"]),
-                   actor_params=list(data["actor_params"]))
-
 
 @dataclass
 class ModuleSummary:
@@ -129,29 +103,6 @@ class ModuleSummary:
     class_bases: Dict[str, List[str]] = field(default_factory=dict)
     #: class qname -> {attr name -> constructor dotted name}.
     attr_types: Dict[str, Dict[str, str]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "functions": {q: f.to_dict()
-                          for q, f in sorted(self.functions.items())},
-            "class_bases": {c: list(b)
-                            for c, b in sorted(self.class_bases.items())},
-            "attr_types": {c: dict(sorted(a.items()))
-                           for c, a in sorted(self.attr_types.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleSummary":
-        return cls(
-            module=data["module"], path=data["path"],
-            functions={q: FunctionSummary.from_dict(f)
-                       for q, f in data["functions"].items()},
-            class_bases={c: list(b)
-                         for c, b in data["class_bases"].items()},
-            attr_types={c: dict(a) for c, a in data["attr_types"].items()},
-        )
 
 
 # -- shared AST walks --------------------------------------------------------
@@ -175,8 +126,7 @@ def iter_functions(sf: SourceFile) -> Iterator[
 def import_map(sf: SourceFile) -> Dict[str, str]:
     """Local name -> dotted target, from the module's import statements."""
     mapping: Dict[str, str] = {}
-    package = sf.module.rsplit(".", 1)[0] if "." in sf.module else ""
-    for node in ast.walk(sf.tree):
+    for node in sf.walk():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -196,7 +146,6 @@ def import_map(sf: SourceFile) -> Dict[str, str]:
                 local = alias.asname or alias.name
                 mapping[local] = f"{base}.{alias.name}" if base \
                     else alias.name
-            _ = package
     return mapping
 
 
@@ -262,7 +211,7 @@ class _TypeInference:
     def class_attr_types(self, class_node: ast.ClassDef) -> Dict[str, str]:
         """``self.attr = Ctor(...)`` assignments anywhere in the class."""
         out: Dict[str, str] = {}
-        for node in ast.walk(class_node):
+        for node in self.sf.walk(class_node):
             if not isinstance(node, ast.Assign):
                 continue
             target_attr = None
@@ -281,7 +230,7 @@ class _TypeInference:
     def local_types(self, fn: ast.AST) -> Dict[str, str]:
         """Locals bound from constructor calls or typed annotations."""
         out: Dict[str, str] = {}
-        for node in ast.walk(fn):
+        for node in self.sf.walk(fn):
             if isinstance(node, ast.Assign):
                 ctor = self.ctor_target(node.value)
                 if ctor is None:
@@ -428,7 +377,7 @@ def summarize(sf: SourceFile) -> ModuleSummary:
         fn_resolver = resolver.function_resolver(fn, class_qname)
         fsum = FunctionSummary(qname=qname, line=fn.lineno)
         fsum.actor_params = actor_param_names(fn, resolver.imports)
-        for node in ast.walk(fn):
+        for node in sf.walk(fn):
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_chain(node.func)
@@ -436,7 +385,7 @@ def summarize(sf: SourceFile) -> ModuleSummary:
             if clock is not None:
                 fsum.clock_calls.append(clock)
             fsum.calls.extend(fn_resolver(node))
-        borrows: BorrowAnalysis = analyze_borrows(fn, fn_resolver)
+        borrows: BorrowAnalysis = analyze_borrows(sf, fn, fn_resolver)
         fsum.returns_borrow_direct = borrows.returns_borrow_direct
         fsum.returns_borrow_if = sorted(borrows.returns_borrow_if)
         summary.functions[qname] = fsum

@@ -56,7 +56,7 @@ class HL001ClockPurity(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(sf.tree):
+        for node in sf.walk():
             if isinstance(node, ast.ImportFrom) and node.module:
                 banned = _BANNED_IMPORTS.get(node.module, set())
                 for alias in node.names:
@@ -66,7 +66,7 @@ class HL001ClockPurity(Rule):
                             f"import of wall-clock symbol "
                             f"'{node.module}.{alias.name}'; use the "
                             f"virtual clock (repro.sim.VirtualClock)"))
-        for call in walk_calls(sf.tree):
+        for call in walk_calls(sf):
             chain = dotted_chain(call.func)
             if chain is None:
                 continue

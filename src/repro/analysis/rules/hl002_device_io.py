@@ -56,7 +56,7 @@ class HL002DeviceIO(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for call in walk_calls(sf.tree):
+        for call in walk_calls(sf):
             func = call.func
             if not isinstance(func, ast.Attribute):
                 continue

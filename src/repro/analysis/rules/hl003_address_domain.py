@@ -70,15 +70,16 @@ def _is_space_magnitude(node: ast.AST) -> bool:
     return False
 
 
-def _identifiers(node: ast.AST) -> Set[str]:
+def _identifiers(sf: SourceFile, node: ast.AST) -> Set[str]:
     """All identifier leaves in an expression (names and attribute tails),
     excluding names that are only used as call targets."""
     out: Set[str] = set()
     skip: Set[int] = set()
-    for sub in ast.walk(node):
+    nodes = sf.walk(node)
+    for sub in nodes:
         if isinstance(sub, ast.Call):
             skip.add(id(sub.func))
-    for sub in ast.walk(node):
+    for sub in nodes:
         if id(sub) in skip:
             continue
         if isinstance(sub, ast.Name):
@@ -104,7 +105,7 @@ class HL003AddressDomain(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(sf.tree):
+        for node in sf.walk():
             if isinstance(node, ast.BinOp) and isinstance(node.op, _ARITH_OPS):
                 f = self._check_binop(sf, node)
                 if f is not None:
@@ -118,14 +119,14 @@ class HL003AddressDomain(Rule):
     def _check_binop(self, sf: SourceFile,
                      node: ast.BinOp) -> Optional[Finding]:
         if _is_space_magnitude(node.left) or _is_space_magnitude(node.right):
-            if any(_ADDRESSY_RE.search(n) for n in _identifiers(node)):
+            if any(_ADDRESSY_RE.search(n) for n in _identifiers(sf, node)):
                 return self.finding(
                     sf, node,
                     "hand-rolled 32-bit address-space geometry; use "
                     "AddressSpace (repro.core.addressing) instead")
             return None
-        ldisk, ltert = _domains(_identifiers(node.left))
-        rdisk, rtert = _domains(_identifiers(node.right))
+        ldisk, ltert = _domains(_identifiers(sf, node.left))
+        rdisk, rtert = _domains(_identifiers(sf, node.right))
         if (ldisk and rtert and not ltert) or (ltert and rdisk and not rtert):
             return self.finding(
                 sf, node,
@@ -145,13 +146,13 @@ class HL003AddressDomain(Rule):
             targets, value = [node.target], node.value
         if not any(isinstance(sub, ast.BinOp)
                    and isinstance(sub.op, _ARITH_OPS)
-                   for sub in ast.walk(value)):
+                   for sub in sf.walk(value)):
             return None
         tnames: Set[str] = set()
         for target in targets:
-            tnames |= _identifiers(target)
+            tnames |= _identifiers(sf, target)
         tdisk, ttert = _domains(tnames)
-        vdisk, vtert = _domains(_identifiers(value))
+        vdisk, vtert = _domains(_identifiers(sf, value))
         if tdisk and vtert and not vdisk:
             return self.finding(
                 sf, node,

@@ -48,13 +48,13 @@ class HL004TraceEvents(Rule):
                 if isinstance(value, str):
                     self._constants[name] = value
         for sf in files:
-            for call in walk_calls(sf.tree):
+            for call in walk_calls(sf):
                 if call_name(call) == "register_event_type" and call.args:
                     arg = call.args[0]
                     if isinstance(arg, ast.Constant) and isinstance(
                             arg.value, str):
                         self._known.add(arg.value)
-            for node in ast.walk(sf.tree):
+            for node in sf.walk():
                 if not isinstance(node, ast.Assign):
                     continue
                 value = self._assigned_literal(node.value)
@@ -84,7 +84,7 @@ class HL004TraceEvents(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for call in walk_calls(sf.tree):
+        for call in walk_calls(sf):
             if call_name(call) not in _EMIT_NAMES or not call.args:
                 continue
             arg = call.args[0]

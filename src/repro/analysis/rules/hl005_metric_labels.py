@@ -41,7 +41,7 @@ class HL005MetricLabels(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for call in walk_calls(sf.tree):
+        for call in walk_calls(sf):
             name = call_name(call)
             if name in _FAMILY_FUNCS:
                 arg = self._labelnames_arg(call)

@@ -32,10 +32,10 @@ def _caught_names(type_node: ast.AST) -> Set[str]:
     return names
 
 
-def _handler_is_blind(handler: ast.ExceptHandler) -> bool:
+def _handler_is_blind(sf: SourceFile, handler: ast.ExceptHandler) -> bool:
     """True when the handler can neither distinguish nor surface errors."""
     for node in handler.body:
-        for sub in ast.walk(node):
+        for sub in sf.walk(node):
             if isinstance(sub, ast.Raise):
                 return False
             if (handler.name is not None and isinstance(sub, ast.Name)
@@ -54,7 +54,7 @@ class HL006ExceptionDiscipline(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(sf.tree):
+        for node in sf.walk():
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
@@ -65,7 +65,7 @@ class HL006ExceptionDiscipline(Rule):
                     "subclass"))
                 continue
             caught = _caught_names(node.type)
-            if caught & _BLIND_TYPES and _handler_is_blind(node):
+            if caught & _BLIND_TYPES and _handler_is_blind(sf, node):
                 wide = ", ".join(sorted(caught & _BLIND_TYPES))
                 findings.append(self.finding(
                     sf, node,

@@ -45,7 +45,7 @@ class HL007SchedSubmission(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for call in walk_calls(sf.tree):
+        for call in walk_calls(sf):
             func = call.func
             if not isinstance(func, ast.Attribute):
                 continue

@@ -91,16 +91,17 @@ def _per_iteration_calls(loop: ast.For):
         todo.extend(ast.iter_child_nodes(node))
 
 
-def _target_names(target: ast.AST) -> FrozenSet[str]:
+def _target_names(sf: SourceFile, target: ast.AST) -> FrozenSet[str]:
     """Names bound by a loop target (``i``, or ``i, j`` tuples)."""
-    return frozenset(n.id for n in ast.walk(target)
+    return frozenset(n.id for n in sf.walk(target)
                      if isinstance(n, ast.Name))
 
 
-def _uses_names(call: ast.Call, names: FrozenSet[str]) -> bool:
+def _uses_names(sf: SourceFile, call: ast.Call,
+                names: FrozenSet[str]) -> bool:
     """True when any argument of ``call`` mentions one of ``names``."""
     for arg in list(call.args) + [kw.value for kw in call.keywords]:
-        for node in ast.walk(arg):
+        for node in sf.walk(arg):
             if isinstance(node, ast.Name) and node.id in names:
                 return True
     return False
@@ -116,7 +117,7 @@ class HL008DatapathCopy(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(sf.tree):
+        for node in sf.walk():
             if isinstance(node, ast.For):
                 if _is_range_call(node.iter):
                     findings.extend(self._check_range_loop(sf, node))
@@ -136,14 +137,14 @@ class HL008DatapathCopy(Rule):
     def _check_range_loop(self, sf: SourceFile,
                           loop: ast.For) -> List[Finding]:
         findings: List[Finding] = []
-        loop_vars = _target_names(loop.target)
-        for call in walk_calls(loop):
+        loop_vars = _target_names(sf, loop.target)
+        for call in walk_calls(sf, loop):
             func = call.func
             if not isinstance(func, ast.Attribute):
                 continue
             if func.attr not in _BLOCK_IO_METHODS:
                 continue
-            if not _uses_names(call, loop_vars):
+            if not _uses_names(sf, call, loop_vars):
                 continue  # one whole transfer per iteration, not per-block
             receiver = terminal_attr(func.value)
             if receiver in _STORE_NAMES:

@@ -78,7 +78,7 @@ class HL009RetryDiscipline(Rule):
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
         seen: Set[int] = set()
-        for loop in ast.walk(sf.tree):
+        for loop in sf.walk():
             if not isinstance(loop, _LOOPS):
                 continue
             for node in _walk_same_scope(loop.body):

@@ -32,10 +32,10 @@ _MARK = "checkpoint_mark"
 _COMMIT = "checkpoint_commit"
 
 
-def _called_names(node: ast.AST) -> List[Tuple[str, int]]:
+def _called_names(sf: SourceFile, node: ast.AST) -> List[Tuple[str, int]]:
     """(name, lineno) of every function/method called under ``node``."""
     out: List[Tuple[str, int]] = []
-    for sub in ast.walk(node):
+    for sub in sf.walk(node):
         if isinstance(sub, ast.Call):
             func = sub.func
             if isinstance(func, ast.Attribute):
@@ -77,11 +77,11 @@ class HL010CheckpointDiscipline(Rule):
 
     def check(self, sf: SourceFile) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(sf.tree):
+        for node in sf.walk():
             if not isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue
-            names = _called_names(node)
+            names = _called_names(sf, node)
             marks = [line for name, line in names if name == _MARK]
             commits = [line for name, line in names if name == _COMMIT]
             if not marks or not commits:
@@ -89,7 +89,7 @@ class HL010CheckpointDiscipline(Rule):
             lo, hi = min(marks), max(commits)
             if lo >= hi:
                 continue
-            for stmt in ast.walk(node):
+            for stmt in sf.walk(node):
                 if not isinstance(stmt, ast.stmt):
                     continue
                 if not lo < stmt.lineno <= hi:

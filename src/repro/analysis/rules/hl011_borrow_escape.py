@@ -60,13 +60,13 @@ class HL011BorrowEscape(Rule):
                           if self.program is not None else None)
         for _, fn, class_qname in iter_functions(sf):
             analysis = analyze_borrows(
-                fn, resolver.function_resolver(fn, class_qname),
+                sf, fn, resolver.function_resolver(fn, class_qname),
                 is_borrow_call=is_borrow_call)
             findings.extend(self._emit(sf, analysis))
         module_body = self._module_level(sf)
         if module_body is not None:
             analysis = analyze_borrows(
-                module_body, resolver.function_resolver(module_body, None),
+                sf, module_body, resolver.function_resolver(module_body, None),
                 is_borrow_call=is_borrow_call, module_scope=True)
             findings.extend(self._emit(sf, analysis))
         return findings

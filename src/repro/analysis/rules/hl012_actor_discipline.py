@@ -110,7 +110,7 @@ class HL012ActorDiscipline(Rule):
     def _scan(self, sf: SourceFile, fn: ast.AST, executing: str,
               foreign: Set[str], owned: Set[str]) -> List[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(fn):
+        for node in sf.walk(fn):
             if isinstance(node, ast.Call):
                 hit = self._mutator_base(node)
                 if hit is None:

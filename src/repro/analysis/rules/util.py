@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from repro.analysis.core import SourceFile
+
 __all__ = ["dotted_chain", "terminal_attr", "call_name", "walk_calls"]
 
 
@@ -42,7 +44,9 @@ def call_name(call: ast.Call) -> Optional[str]:
     return terminal_attr(call.func)
 
 
-def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
+def walk_calls(sf: SourceFile,
+               node: Optional[ast.AST] = None) -> Iterator[ast.Call]:
+    """Every call under ``node`` (default: the module), in walk order."""
+    for sub in sf.walk(node):
+        if isinstance(sub, ast.Call):
+            yield sub

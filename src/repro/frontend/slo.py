@@ -16,7 +16,11 @@ The input is the trace ring (:data:`repro.frontend.session.
 EV_FRONTEND_REQUEST` events carry ``tenant``, ``op``, ``nbytes``,
 ``wait`` and ``service``), so the report can be computed live, from an
 obs snapshot on disk, or from a :class:`~repro.frontend.load.
-ReplayResult` — anywhere the events survive.
+ReplayResult` — anywhere the events survive.  The ring is bounded, so
+a report read from a recorder (or a snapshot's trace section) that
+dropped events raises :class:`TraceOverflow` instead of silently
+describing only the ring's tail; :func:`from_latencies` is the path for
+runs too long for the ring.
 """
 
 from __future__ import annotations
@@ -26,13 +30,19 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.frontend.session import EV_FRONTEND_REQUEST
+from repro.obs.trace import TraceError, TraceRecorder
 
-__all__ = ["TenantReport", "SLOReport", "TenantSLO", "evaluate",
-           "from_latencies", "percentile"]
+__all__ = ["TenantReport", "SLOReport", "TenantSLO", "TraceOverflow",
+           "evaluate", "from_latencies", "percentile"]
 
 #: Ops whose latency counts toward the demand SLO (the interactive
 #: surface); background control ops report goodput only.
 _DEMAND_OPS = frozenset({"read", "write"})
+
+
+class TraceOverflow(TraceError):
+    """The trace ring dropped events, so an SLO report read from it
+    would silently cover only the surviving tail of the run."""
 
 
 def percentile(samples: Iterable[float], q: float) -> float:
@@ -138,11 +148,25 @@ def evaluate(events: Iterable,
              window_seconds: Optional[float] = None) -> SLOReport:
     """Roll ``frontend_request`` events up into an :class:`SLOReport`.
 
-    ``events`` may be live :class:`~repro.obs.trace.TraceEvent` objects
-    or snapshot dicts.  ``weights`` (tenant -> share, default 1.0)
-    normalize goodput before the fairness indices.  ``window_seconds``
-    defaults to the event time span.
+    ``events`` may be a :class:`~repro.obs.trace.TraceRecorder`, an obs
+    snapshot's ``trace`` section (``{"dropped": n, "events": [...]}``),
+    or an iterable of live :class:`~repro.obs.trace.TraceEvent` objects
+    or snapshot dicts.  A recorder or trace section that dropped events
+    raises :class:`TraceOverflow`.  ``weights`` (tenant -> share,
+    default 1.0) normalize goodput before the fairness indices.
+    ``window_seconds`` defaults to the event time span.
     """
+    if isinstance(events, TraceRecorder):
+        dropped, events = events.dropped, events.events(EV_FRONTEND_REQUEST)
+    elif isinstance(events, Mapping):
+        dropped, events = events.get("dropped", 0), events.get("events", [])
+    else:
+        dropped = 0
+    if dropped:
+        raise TraceOverflow(
+            f"trace ring dropped {dropped} event(s); the SLO report would "
+            f"cover only the surviving tail (size the ring for the run, "
+            f"or build the report with from_latencies)")
     latencies: Dict[str, List[float]] = {}
     moved: Dict[str, int] = {}
     counts: Dict[str, int] = {}

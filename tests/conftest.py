@@ -1,5 +1,7 @@
 """Shared fixtures: small, fast testbed instances."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.blockdev import profiles
@@ -21,6 +23,38 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_golden(request):
     return request.config.getoption("--update-golden")
+
+
+# -- the production tree, analysed once per session --------------------------
+#
+# A whole-tree analysis of src/repro takes seconds; the cleanliness,
+# suppression-budget and program-index tests all read the same facts,
+# so they share one run instead of each re-analysing the tree.  Tests
+# whose contract is about a run itself (determinism, overlapping paths,
+# the time budget) still make their own.
+
+SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
+
+
+@pytest.fixture(scope="session")
+def src_result():
+    """One ``run_paths([src/repro])`` result with the full rule suite."""
+    from repro.analysis import run_paths
+    return run_paths([SRC_REPRO])
+
+
+@pytest.fixture(scope="session")
+def src_files():
+    """Every parsed module under src/repro, in collection order."""
+    from repro.analysis import Analyzer, default_rules
+    return Analyzer(default_rules()).load([str(SRC_REPRO)])
+
+
+@pytest.fixture(scope="session")
+def src_index(src_files):
+    """The whole-program index over :func:`src_files`."""
+    from repro.analysis.program.index import ProgramIndex
+    return ProgramIndex.build(src_files)
 
 
 @pytest.fixture(autouse=True)

@@ -5,44 +5,35 @@ HL rule runs over ``src/repro`` and must produce zero findings.  Any new
 violation either gets fixed or earns an explicit ``# noqa: HL0xx`` with
 justification — and suppressions are budgeted, not free: the count here
 is pinned so silent accretion shows up in review.
+
+All three tests read the session's one analysis of ``src/repro``
+(the ``src_result`` fixture in ``conftest.py``).
 """
 
 from pathlib import Path
 
-from repro.analysis import run_paths
 
-SRC = Path(__file__).parent.parent / "src" / "repro"
-
-
-def test_src_tree_is_clean():
-    result = run_paths([SRC])
-    rendered = "\n".join(f.format() for f in result.findings)
-    assert result.errors == [], result.errors
-    assert result.findings == [], f"analysis findings:\n{rendered}"
+def test_src_tree_is_clean(src_result):
+    rendered = "\n".join(f.format() for f in src_result.findings)
+    assert src_result.errors == [], src_result.errors
+    assert src_result.findings == [], f"analysis findings:\n{rendered}"
 
 
-def test_suppression_budget():
-    result = run_paths([SRC])
-    # Two sanctioned suppression sites.  bench/: the Table-5 benchmark
+def test_suppression_budget(src_result):
+    # One sanctioned suppression site, bench/: the Table-5 benchmark
     # measures the bare device on purpose (HL002, and its dd-style 1 MB
     # loop shape trips HL008), and the perf harness measures host
-    # wall-clock time on purpose (HL001).  analysis/program/index.py:
-    # the program-index build clocks itself with the host perf counter
-    # for the CI log — tooling that never runs inside the simulation
-    # (HL001, two call sites).
-    assert len(result.suppressed) == 10
-    assert all("bench" in f.path or "analysis" in f.path
-               for f in result.suppressed)
-    assert {f.code for f in result.suppressed} == {"HL001", "HL002", "HL008"}
-    in_analysis = [f for f in result.suppressed if "analysis" in f.path]
-    assert len(in_analysis) == 2
-    assert all(f.code == "HL001" and "program/index.py" in f.path
-               for f in in_analysis)
+    # wall-clock time on purpose (HL001).  The analysis package itself
+    # holds none.
+    suppressed = src_result.suppressed
+    assert len(suppressed) == 8
+    assert all("bench" in Path(f.path).parts for f in suppressed)
+    assert {f.code for f in suppressed} == {"HL001", "HL002", "HL008"}
+    assert not [f for f in suppressed if "analysis" in Path(f.path).parts]
 
 
-def test_no_suppressions_in_core_or_lfs():
-    result = run_paths([SRC])
-    for f in result.suppressed:
+def test_no_suppressions_in_core_or_lfs(src_result):
+    for f in src_result.suppressed:
         path = Path(f.path)
         assert "core" not in path.parts and "lfs" not in path.parts, \
             f"suppression in protected package: {f.format()}"

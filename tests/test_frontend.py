@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.bench import harness
+from repro.obs import report as obs_report
 from repro.cluster import ClusterNode, ClusterRouter
 from repro.core.highlight import HighLightConfig
 from repro.errors import (AdmissionRejected, FileNotFound, HandleClosed,
@@ -435,6 +436,36 @@ def test_slo_report_from_trace_events():
     assert tenant.requests == 2
     assert tenant.bytes_moved == 2 * 64 * KB
     assert "default" in report.render()
+
+
+def _ring_of_requests(capacity, n):
+    from repro.frontend.session import EV_FRONTEND_REQUEST
+    ring = obs.TraceRecorder(capacity=capacity)
+    for i in range(n):
+        ring.emit(EV_FRONTEND_REQUEST, float(i), tenant="t", op="read",
+                  nbytes=4 * KB, wait=0.0, service=0.01)
+    return ring
+
+
+def test_slo_report_refuses_an_overflowed_ring():
+    """A wrapped ring would report on its surviving tail only; the
+    report must refuse instead of silently under-counting."""
+    ring = _ring_of_requests(capacity=8, n=12)
+    assert ring.dropped == 4
+    with pytest.raises(slo.TraceOverflow, match="dropped 4 event"):
+        slo.evaluate(ring)
+    section = obs_report.snapshot(trace=ring)["trace"]
+    with pytest.raises(slo.TraceOverflow):
+        slo.evaluate(section)
+    assert issubclass(slo.TraceOverflow, obs.TraceError)
+
+
+def test_slo_report_reads_a_full_ring_that_never_dropped():
+    ring = _ring_of_requests(capacity=8, n=8)
+    assert ring.dropped == 0
+    assert slo.evaluate(ring).tenant("t").requests == 8
+    section = obs_report.snapshot(trace=ring)["trace"]
+    assert slo.evaluate(section).tenant("t").requests == 8
 
 
 # -- snapshot header plumbing ------------------------------------------------

@@ -1,27 +1,28 @@
 """Tests for the whole-program layer: summaries, index, dataflow.
 
 Covers the pieces the interprocedural rules stand on — the per-module
-summary extractor, the combined index's borrow/clock fixpoints, the
-hash-keyed summary cache — plus the cross-cutting contracts: output
-determinism (serial vs parallel loading, back-to-back runs), the
-<10s whole-tree budget, and the pin keeping the summary extractor's
-clock-source table in sync with HL001's.
+summary extractor and the combined index's borrow/clock fixpoints —
+plus the cross-cutting contracts: output determinism (back-to-back
+runs, overlapping inputs), the <10s whole-tree budget, and the pin
+keeping the summary extractor's clock-source table in sync with HL001's.
+The src-tree index tests read the session's shared ``src_index``
+fixture (``conftest.py``); only the contract tests make fresh runs.
 """
 
 import json
 import time
 from pathlib import Path
 
-from repro.analysis import Analyzer, default_rules, run_paths
+from repro.analysis import run_paths
 from repro.analysis.program.dataflow import analyze_borrows
 from repro.analysis.program.index import ProgramIndex
 from repro.analysis.program.summary import (ACTOR_CLASS, CLOCK_SUFFIXES,
-                                            ModuleSummary, summarize)
+                                            summarize)
 from repro.analysis.core import SourceFile
 from repro.analysis.rules.hl001_clock_purity import _BANNED_SUFFIXES
 
 REPO = Path(__file__).parent.parent
-SRC = REPO / "src"
+SRC = REPO / "src" / "repro"
 
 
 def parse(tmp_path, name, text):
@@ -32,11 +33,6 @@ def parse(tmp_path, name, text):
 
 def build(files):
     return ProgramIndex.build(files)
-
-
-def load_tree(paths=(SRC,), jobs=1):
-    analyzer = Analyzer(default_rules())
-    return analyzer.load([str(p) for p in paths], jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +79,6 @@ class TestSummaries:
         summary = summarize(sf)
         assert summary.attr_types["m.Box"]["peer"] == ACTOR_CLASS
 
-    def test_summary_round_trips_through_json(self, tmp_path):
-        sf = parse(tmp_path, "m.py", (
-            "def lend(store):\n"
-            "    return store.read_refs(0, 1)\n"))
-        summary = summarize(sf)
-        encoded = json.dumps(summary.to_dict(), sort_keys=True)
-        restored = ModuleSummary.from_dict(json.loads(encoded))
-        assert restored.to_dict() == summary.to_dict()
-
     def test_clock_suffixes_pin_hl001(self):
         # The extractor deliberately duplicates HL001's banned-suffix
         # table (importing it would cycle program <-> rules); this pin
@@ -109,45 +96,45 @@ class TestDataflow:
         import ast
         fn = next(n for n in sf.tree.body
                   if isinstance(n, ast.FunctionDef))
-        return fn
+        return sf, fn
 
     def test_escape_on_module_container(self, tmp_path):
-        fn = self._fn(tmp_path, (
+        sf, fn = self._fn(tmp_path, (
             "def f(store):\n"
             "    refs = store.read_refs(0, 1)\n"
             "    SINK.append(refs)\n"))
-        analysis = analyze_borrows(fn, lambda call: [])
+        analysis = analyze_borrows(sf, fn, lambda call: [])
         assert [e.kind for e in analysis.escapes] == ["container"]
 
     def test_no_escape_for_local_container(self, tmp_path):
-        fn = self._fn(tmp_path, (
+        sf, fn = self._fn(tmp_path, (
             "def f(store):\n"
             "    out = []\n"
             "    refs = store.read_refs(0, 1)\n"
             "    out.append(refs)\n"
             "    return len(out)\n"))
-        analysis = analyze_borrows(fn, lambda call: [])
+        analysis = analyze_borrows(sf, fn, lambda call: [])
         assert analysis.escapes == []
 
     def test_loop_carried_taint_converges(self, tmp_path):
         # The taint reaches `acc` only on the second propagate pass.
-        fn = self._fn(tmp_path, (
+        sf, fn = self._fn(tmp_path, (
             "def f(store, n):\n"
             "    acc = None\n"
             "    for i in range(n):\n"
             "        acc = prev\n"
             "        prev = store.read_refs(i, 1)\n"
             "    self_like.cache = acc\n"))
-        analysis = analyze_borrows(fn, lambda call: [])
+        analysis = analyze_borrows(sf, fn, lambda call: [])
         assert analysis.escapes == []  # self_like is a local-ish name
-        fn2 = self._fn(tmp_path, (
+        sf2, fn2 = self._fn(tmp_path, (
             "def f(self, store, n):\n"
             "    acc = None\n"
             "    for i in range(n):\n"
             "        acc = prev\n"
             "        prev = store.read_refs(i, 1)\n"
             "    self.cache = acc\n"))
-        analysis2 = analyze_borrows(fn2, lambda call: [])
+        analysis2 = analyze_borrows(sf2, fn2, lambda call: [])
         assert [e.kind for e in analysis2.escapes] == ["self"]
 
 
@@ -156,17 +143,16 @@ class TestDataflow:
 # ---------------------------------------------------------------------------
 
 class TestIndex:
-    def test_src_borrow_fixpoint_finds_the_lending_chain(self):
-        idx = build(load_tree())
+    def test_src_borrow_fixpoint_finds_the_lending_chain(self, src_index):
         # The devices lend by *calling* their store's read_refs...
         assert "repro.blockdev.disk.DiskDevice.read_refs" \
-            in idx.returns_borrow
+            in src_index.returns_borrow
         # ...and one indirection further up, the line-I/O choke point.
-        assert "repro.core.addressing.line_read_refs" in idx.returns_borrow
+        assert "repro.core.addressing.line_read_refs" \
+            in src_index.returns_borrow
 
-    def test_src_clock_reach_stays_out_of_simulation(self):
-        idx = build(load_tree())
-        for qname, (via, _desc) in idx.clock_reach.items():
+    def test_src_clock_reach_stays_out_of_simulation(self, src_index):
+        for qname, (via, _desc) in src_index.clock_reach.items():
             if via is None:
                 continue  # direct sites are HL001-audited (noqa'd bench)
             assert not qname.startswith(("repro.core.", "repro.lfs.")), \
@@ -195,68 +181,28 @@ class TestIndex:
         idx = build(files)
         assert idx.transitive_callees("m.top") == {"m.mid", "m.leaf"}
 
-    def test_cache_reuse_round_trip(self, tmp_path):
-        cache = tmp_path / "index.json"
-        files = load_tree()
-        first = ProgramIndex.build(files, cache_path=cache)
-        assert first.stats.files_reused == 0
-        assert cache.is_file()
-        second = ProgramIndex.build(files, cache_path=cache)
-        assert second.stats.files_reused == second.stats.files_total
-        assert second.returns_borrow == first.returns_borrow
-        assert second.clock_reach == first.clock_reach
-
-    def test_cache_invalidates_on_content_change(self, tmp_path):
-        cache = tmp_path / "index.json"
-        src = parse(tmp_path, "m.py", "def f():\n    return 1\n")
-        ProgramIndex.build([src], cache_path=cache)
-        changed = parse(tmp_path, "m.py",
-                        "def f(store):\n    return store.read_refs(0, 1)\n")
-        idx = ProgramIndex.build([changed], cache_path=cache)
-        assert idx.stats.files_reused == 0
-        assert "m.f" in idx.returns_borrow
-
 
 # ---------------------------------------------------------------------------
 # Cross-cutting contracts: determinism and the time budget
 # ---------------------------------------------------------------------------
 
 class TestContracts:
-    def test_back_to_back_runs_are_byte_identical(self):
-        one = run_paths([SRC])
-        two = run_paths([SRC])
-        assert json.dumps(one.to_dict(), sort_keys=True) == \
-            json.dumps(two.to_dict(), sort_keys=True)
-
-    def test_parallel_and_serial_loading_are_byte_identical(self):
-        serial = run_paths([SRC], jobs=1)
-        parallel = run_paths([SRC], jobs=4)
-        assert json.dumps(serial.to_dict(), sort_keys=True) == \
-            json.dumps(parallel.to_dict(), sort_keys=True)
-
-    def test_parallel_load_preserves_collection_order(self):
-        analyzer = Analyzer(default_rules())
-        serial = [sf.display_path for sf in analyzer.load([str(SRC)])]
-        parallel = [sf.display_path
-                    for sf in analyzer.load([str(SRC)], jobs=8)]
-        assert serial == parallel
+    def test_back_to_back_runs_are_byte_identical(self, src_result):
+        # The session's shared run came first; this one follows it in
+        # the same process.
+        again = run_paths([SRC])
+        assert json.dumps(again.to_dict(), sort_keys=True) == \
+            json.dumps(src_result.to_dict(), sort_keys=True)
 
     def test_whole_tree_analysis_meets_the_time_budget(self):
+        # run_paths defaults to the full suite, program rules included.
         t0 = time.monotonic()
         result = run_paths([SRC])
         elapsed = time.monotonic() - t0
         assert result.errors == []
-        assert result.index_stats is not None  # program rules ran
         assert elapsed < 10.0, f"whole-tree analysis took {elapsed:.1f}s"
 
-    def test_index_stats_never_leak_into_result_json(self):
-        result = run_paths([SRC])
-        assert result.index_stats is not None
-        payload = json.dumps(result.to_dict())
-        assert "build_seconds" not in payload
-
-    def test_overlapping_paths_analyze_each_file_once(self):
-        inner = SRC / "repro" / "analysis" / "core.py"
+    def test_overlapping_paths_analyze_each_file_once(self, src_result):
+        inner = SRC / "analysis" / "core.py"
         result = run_paths([SRC, inner, SRC])
-        baseline = run_paths([SRC])
-        assert result.files_analyzed == baseline.files_analyzed
+        assert result.files_analyzed == src_result.files_analyzed
