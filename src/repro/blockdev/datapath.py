@@ -1,8 +1,8 @@
-"""Data-path plumbing: extent refs, copy accounting, and the store mode.
+"""Data-path plumbing: extent refs and copy accounting.
 
 The paper's design argument is that 1 MB segments amortize device costs
 into large sequential transfers; the simulator's *host* data path should
-match.  This module carries the three shared pieces:
+match.  This module carries the two shared pieces:
 
 * :class:`ExtentRef` — a (buffer, offset, length) handle on a byte range
   inside a store.  Refs are how whole segment images travel between
@@ -13,23 +13,14 @@ match.  This module carries the three shared pieces:
 * **Copy accounting** — every host-memory byte copy performed by the
   device data path funnels through :func:`count_copy`, which feeds both
   a cheap process-local counter (readable with the metrics registry
-  disabled) and the ``datapath_bytes_copied_total`` metric.  The perf
-  harness A/Bs this number across store modes.
-* **The store mode** — ``"extent"`` (the default
-  :class:`~repro.blockdev.extent.ExtentStore`) or ``"blockdict"`` (the
-  historical per-block :class:`~repro.blockdev.base.BlockStore`, kept
-  as the baseline for the A/B in ``python -m repro.bench --perf``).
-  The mode is read at store construction time; it is process-global
-  because devices are built before any filesystem config exists.
+  disabled) and the ``datapath_bytes_copied_total`` metric.
 
-Virtual-time charging is untouched by any of this: both modes issue the
-same device operations with the same sizes, so simulated results are
-bit-identical — only host CPU work differs.
+Virtual-time charging is untouched by any of this: copies cost host CPU
+work only, never simulated time.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Sequence, Union
 
 from repro import obs
@@ -39,8 +30,6 @@ __all__ = [
     "ExtentRef",
     "block_views",
     "run_views",
-    "MODE_BLOCKDICT",
-    "MODE_EXTENT",
     "bytes_copied_total",
     "count_copy",
     "flush_copy_metric",
@@ -50,39 +39,11 @@ __all__ = [
     "reset_copy_counter",
     "sanitizer",
     "set_sanitizer",
-    "set_store_mode",
-    "store_mode",
     "zeros",
 ]
 
 #: Acceptable data-bearing argument types for store writes.
 Buffer = Union[bytes, bytearray, memoryview]
-
-MODE_EXTENT = "extent"
-MODE_BLOCKDICT = "blockdict"
-_MODES = (MODE_EXTENT, MODE_BLOCKDICT)
-
-#: Environment override for the initial store mode (CI experiments).
-MODE_ENV = "REPRO_DATAPATH_MODE"
-
-_mode = os.environ.get(MODE_ENV, MODE_EXTENT)
-if _mode not in _MODES:
-    _mode = MODE_EXTENT
-
-
-def store_mode() -> str:
-    """The store implementation new devices will be built with."""
-    return _mode
-
-
-def set_store_mode(mode: str) -> str:
-    """Select the store implementation; returns the previous mode."""
-    global _mode
-    if mode not in _MODES:
-        raise ValueError(f"unknown datapath mode {mode!r}; "
-                         f"expected one of {_MODES}")
-    old, _mode = _mode, mode
-    return old
 
 
 # -- borrow sanitizer registry -----------------------------------------------
@@ -121,7 +82,7 @@ def count_copy(nbytes: int) -> None:
 
     Deliberately just an integer add: this sits on the per-block hot
     path, so a registry lookup per call would itself become the ledger
-    overhead the extent mode exists to remove.  The accumulated delta
+    overhead the extent store exists to remove.  The accumulated delta
     reaches the ``datapath_bytes_copied_total`` metric through
     :func:`flush_copy_metric`, which ``obs`` runs before every snapshot
     and reset — observers never see a stale value, and runs with no

@@ -1,8 +1,9 @@
-"""ExtentStore: contiguous written ranges as shared-buffer extent runs.
+"""ExtentStore: the sparse data store behind every device.
 
-The per-block :class:`~repro.blockdev.base.BlockStore` moves every
-segment through a Python loop — one dict entry per 4 KB block plus a
-``b"".join`` on each read.  The extent store keeps whole written runs as
+Devices are data-bearing — file contents written through the stack must
+round-trip byte-for-byte through migration and demand fetch — but an
+848 MB partition is stored sparsely: unwritten blocks read back as
+zeros, like a freshly formatted medium.  Written ranges are kept as
 immutable ``(start, nblocks, buf, off)`` rows over shared buffers, so
 the common segment-sized transfers are O(runs) bookkeeping:
 
@@ -30,12 +31,12 @@ same staging buffer) — and it makes :meth:`snapshot` a plain O(runs)
 list copy instead of a deep copy, which is what the crash matrix pays
 at every crash point.
 
-Sparse semantics match BlockStore exactly: unwritten blocks read back as
-zeros, ``is_written``/``written_blocks`` count real writes only, and a
-read that crosses an unwritten hole never records the hole as written.
-Fragmented runs are re-coalesced opportunistically: a multi-extent read
-that is *fully* covered stores the joined image back as a single extent,
-so repeated segment reads settle into the zero-copy fast path.
+Sparse semantics: ``is_written``/``written_blocks`` count real writes
+only, and a read that crosses an unwritten hole never records the hole
+as written.  Fragmented runs are re-coalesced opportunistically: a
+multi-extent read that is *fully* covered stores the joined image back
+as a single extent, so repeated segment reads settle into the zero-copy
+fast path.
 
 All host-memory copies this store does perform are accounted through
 :func:`repro.blockdev.datapath.count_copy`.
@@ -46,9 +47,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Sequence
 
-from repro.blockdev.base import DataStore
 from repro.blockdev.datapath import (Buffer, ExtentRef, count_copy,
                                      materialize_refs, sanitizer, zeros)
+from repro.errors import AddressError, InvalidArgument
 
 __all__ = ["ExtentStore"]
 
@@ -57,14 +58,32 @@ __all__ = ["ExtentStore"]
 _START, _NBLK, _BUF, _OFF = range(4)
 
 
-class ExtentStore(DataStore):
+class ExtentStore:
     """Sparse data store keeping written ranges as extent runs."""
 
     def __init__(self, capacity_blocks: int, block_size: int) -> None:
-        super().__init__(capacity_blocks, block_size)
+        if capacity_blocks <= 0 or block_size <= 0:
+            raise ValueError("capacity and block size must be positive")
+        self.capacity_blocks = capacity_blocks
+        self.block_size = block_size
         self._starts: List[int] = []    # sorted extent start blocks
         self._exts: List[tuple] = []    # parallel extent rows
         self._written = 0               # total blocks covered by extents
+
+    def check_range(self, blkno: int, nblocks: int) -> None:
+        """Raise AddressError unless [blkno, blkno+nblocks) is on the store."""
+        if nblocks <= 0:
+            raise InvalidArgument(f"nblocks must be positive, got {nblocks}")
+        if blkno < 0 or blkno + nblocks > self.capacity_blocks:
+            raise AddressError(
+                f"blocks [{blkno}, {blkno + nblocks}) outside device of "
+                f"{self.capacity_blocks} blocks", blkno=blkno)
+
+    def _check_aligned(self, nbytes: int) -> None:
+        if nbytes % self.block_size != 0:
+            raise InvalidArgument(
+                f"write of {nbytes} bytes is not block-aligned "
+                f"(block size {self.block_size})")
 
     # -- internal geometry --------------------------------------------------
 
@@ -158,7 +177,7 @@ class ExtentStore(DataStore):
         self._splice(idx, [(blkno, nblocks, buf, off)])
         self._written += nblocks
 
-    # -- scalar API (BlockStore-compatible) ---------------------------------
+    # -- scalar API ---------------------------------------------------------
 
     def read(self, blkno: int, nblocks: int) -> bytes:
         """Return ``nblocks`` blocks starting at ``blkno``."""
@@ -373,9 +392,17 @@ class ExtentStore(DataStore):
         self._splice(idx, rows)
         self._written += nblocks
 
-    # -- media imaging ------------------------------------------------------
+    # -- media imaging (crash simulation) ------------------------------------
+    #
+    # A "crash" in the simulator abandons every in-memory object; the only
+    # state that survives is what reached the stores.  ``snapshot`` freezes
+    # the written contents as an opaque image, ``restore`` loads such an
+    # image into a (typically fresh) store of the same geometry — together
+    # they model pulling the platters out of a dead machine and spinning
+    # them up in a new one.
 
     def snapshot(self) -> object:
+        """Freeze the written contents as an opaque, immutable image."""
         # Rows are immutable tuples and extent buffers are never mutated
         # in place, so a shallow list copy *is* a deep image: later
         # writes splice in new rows, never touch old ones.  O(runs)
@@ -383,8 +410,8 @@ class ExtentStore(DataStore):
         return list(self._exts)
 
     def restore(self, image: object) -> None:
+        """Replace this store's contents with a snapshotted image."""
         if not isinstance(image, list):
-            from repro.errors import InvalidArgument
             raise InvalidArgument("not an ExtentStore image")
         san = sanitizer()
         if san is not None:

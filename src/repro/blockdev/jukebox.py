@@ -15,10 +15,11 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.blockdev.base import DeviceStats, make_store
+from repro.blockdev.base import DeviceStats
 from repro.blockdev.bus import SCSIBus
 from repro.blockdev.datapath import (Buffer, ExtentRef, materialize_refs,
                                      ref_of)
+from repro.blockdev.extent import ExtentStore
 from repro.errors import (DriveBusy, EndOfMedium, NoSuchVolume,
                           ReadOnlyMedium, VolumeNotLoaded)
 from repro.faults.health import VolumeHealth
@@ -41,8 +42,8 @@ class RemovableVolume:
                  effective_capacity_bytes: Optional[int] = None,
                  write_once: bool = False) -> None:
         self.volume_id = volume_id
-        self.store = make_store(max(1, capacity_bytes // block_size),
-                                block_size)
+        self.store = ExtentStore(max(1, capacity_bytes // block_size),
+                                 block_size)
         if effective_capacity_bytes is None:
             effective_capacity_bytes = capacity_bytes
         self.effective_capacity_blocks = max(

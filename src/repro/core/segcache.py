@@ -137,15 +137,24 @@ class SegmentCache:
         ejects a line chosen by the ejection policy.  This is what the
         service process does when a demand fetch arrives and "there are no
         clean segments available for that use" (paper §6.7).
+
+        When every line is staging, queued write-outs are force-drained
+        oldest first until one line is ejectable; only with nothing left
+        to drain does this raise :class:`StagingFull`.
         """
         if len(self._dir) < self.max_lines:
             segno = self._pick_clean_segment()
             if segno is not None:
                 return segno
-        victim = self.policy.choose_victim(
-            [t for t in self._dir if not self.is_staging(t)])
-        if victim is None:
-            raise StagingFull("no ejectable cache line and no clean segment")
+        while True:
+            victim = self.policy.choose_victim(
+                [t for t in self._dir if not self.is_staging(t)])
+            if victim is not None:
+                break
+            sched = self.fs.sched
+            if sched is None or not sched.drain_oldest_writeout(actor):
+                raise StagingFull(
+                    "no ejectable cache line and no clean segment")
         freed = self.eject(victim, actor=actor)
         assert freed is not None
         return freed

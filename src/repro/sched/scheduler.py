@@ -330,19 +330,26 @@ class TertiaryScheduler:
 
         limit = self.queue_limits.get(CLASS_WRITEOUT)
         while limit is not None and self.queued(CLASS_WRITEOUT) >= limit:
-            oldest = min((r for r in self._queue
-                          if r.rclass == CLASS_WRITEOUT),
-                         key=lambda r: r.seq)
-            self._remove(oldest)
-            self.forced_writeouts += 1
-            obs.counter("sched_forced_writeouts_total",
-                        "write-outs force-drained by queue-depth "
-                        "pressure").inc()
-            self._dispatch(oldest, actor)
+            self.drain_oldest_writeout(actor)
         self._enqueue(Request(
             CLASS_WRITEOUT, execute, actor.time, self._next_seq(),
             volume=self.volume_id(tsegno), tag=tsegno, table4=True),
             admitted=True)
+        return True
+
+    def drain_oldest_writeout(self, actor: Actor) -> bool:
+        """Force-drain the oldest queued write-out on ``actor``, freeing
+        its staging line; returns False when no write-out is queued."""
+        queued = [r for r in self._queue if r.rclass == CLASS_WRITEOUT]
+        if not queued:
+            return False
+        oldest = min(queued, key=lambda r: r.seq)
+        self._remove(oldest)
+        self.forced_writeouts += 1
+        obs.counter("sched_forced_writeouts_total",
+                    "write-outs force-drained by queue-depth "
+                    "pressure").inc()
+        self._dispatch(oldest, actor)
         return True
 
     def submit(self, rclass: str, actor: Actor,

@@ -1,19 +1,19 @@
-"""LRU recency tracking shared by the buffer cache and the segment cache."""
+"""LRU recency tracking (the jukebox's drive-victim order)."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Hashable, Iterator, Optional, TypeVar
+from typing import Generic, Hashable, Iterator, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 
 
 class LRUTracker(Generic[K]):
-    """Tracks recency of a set of keys; O(1) touch and eviction-candidate pop.
+    """Tracks recency of a set of keys; O(1) touch and discard.
 
-    This deliberately does not store values: HighLight's segment cache keeps
-    its data in disk segments and only needs an ordering over cache lines,
-    and the buffer cache keeps buffers in its own table.
+    This deliberately does not store values: callers keep their data in
+    their own tables and only need an ordering over keys, read by
+    iterating from least- to most-recently used.
     """
 
     def __init__(self) -> None:
@@ -39,35 +39,3 @@ class LRUTracker(Generic[K]):
     def discard(self, key: K) -> None:
         """Forget ``key`` if present."""
         self._order.pop(key, None)
-
-    def lru(self) -> Optional[K]:
-        """Return the least-recently-used key without removing it."""
-        if not self._order:
-            return None
-        return next(iter(self._order))
-
-    def mru(self) -> Optional[K]:
-        """Return the most-recently-used key without removing it."""
-        if not self._order:
-            return None
-        return next(reversed(self._order))
-
-    def pop_lru(self) -> Optional[K]:
-        """Remove and return the least-recently-used key."""
-        if not self._order:
-            return None
-        key, _ = self._order.popitem(last=False)
-        return key
-
-    def demote(self, key: K) -> None:
-        """Mark ``key`` least-recently used (the 'least-worthy' hook).
-
-        The paper's Future Work sketches a nearly-MRU policy where freshly
-        fetched segments are ejected first until a repeat access promotes
-        them; ``demote`` is the primitive that enables it.
-        """
-        if key in self._order:
-            self._order.move_to_end(key, last=False)
-        else:
-            self._order[key] = None
-            self._order.move_to_end(key, last=False)

@@ -22,13 +22,11 @@ def test_src_tree_is_clean(src_result):
 def test_suppression_budget(src_result):
     # One sanctioned suppression site, bench/: the Table-5 benchmark
     # measures the bare device on purpose (HL002, and its dd-style 1 MB
-    # loop shape trips HL008), and the perf harness measures host
-    # wall-clock time on purpose (HL001).  The analysis package itself
-    # holds none.
+    # loop shape trips HL008).  The analysis package itself holds none.
     suppressed = src_result.suppressed
-    assert len(suppressed) == 8
+    assert len(suppressed) == 7
     assert all("bench" in Path(f.path).parts for f in suppressed)
-    assert {f.code for f in suppressed} == {"HL001", "HL002", "HL008"}
+    assert {f.code for f in suppressed} == {"HL002", "HL008"}
     assert not [f for f in suppressed if "analysis" in Path(f.path).parts]
 
 

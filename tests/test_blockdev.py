@@ -1,9 +1,9 @@
-"""Unit tests: block stores, disks, geometry, buses, striping."""
+"""Unit tests: disks, geometry, buses, striping, the CPU model."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blockdev.base import BlockStore, CPUModel, FreeCPU
+from repro.blockdev.base import CPUModel, FreeCPU
 from repro.blockdev.bus import SCSIBus
 from repro.blockdev.disk import DiskDevice
 from repro.blockdev.geometry import DiskProfile, seek_time
@@ -18,62 +18,6 @@ def small_profile(**overrides):
     base = dict(name="test", capacity_bytes=16 * MB, cylinders=64)
     base.update(overrides)
     return DiskProfile(**base)
-
-
-class TestBlockStore:
-    def test_roundtrip(self):
-        store = BlockStore(16, 4096)
-        data = bytes(range(256)) * 16
-        store.write(3, data)
-        assert store.read(3, 1) == data
-
-    def test_unwritten_reads_zero(self):
-        store = BlockStore(4, 4096)
-        assert store.read(0, 1) == bytes(4096)
-
-    def test_multi_block(self):
-        store = BlockStore(8, 4096)
-        image = b"\x11" * 4096 + b"\x22" * 4096
-        store.write(2, image)
-        assert store.read(2, 2) == image
-        assert store.read(3, 1) == b"\x22" * 4096
-
-    def test_out_of_range(self):
-        store = BlockStore(4, 4096)
-        with pytest.raises(AddressError):
-            store.read(3, 2)
-        with pytest.raises(AddressError):
-            store.write(4, bytes(4096))
-
-    def test_unaligned_write_rejected(self):
-        store = BlockStore(4, 4096)
-        with pytest.raises(InvalidArgument):
-            store.write(0, b"short")
-
-    def test_zero_nblocks_rejected(self):
-        with pytest.raises(InvalidArgument):
-            BlockStore(4, 4096).read(0, 0)
-
-    def test_is_written_and_discard(self):
-        store = BlockStore(4, 4096)
-        store.write(1, bytes(4096))
-        assert store.is_written(1)
-        store.discard(1)
-        assert not store.is_written(1)
-
-    @given(st.dictionaries(st.integers(0, 31),
-                           st.binary(min_size=8, max_size=16),
-                           max_size=8))
-    @settings(max_examples=25, deadline=None)
-    def test_store_matches_model(self, model):
-        store = BlockStore(32, 4096)
-        expanded = {blk: seed.ljust(4096, b"\0")
-                    for blk, seed in model.items()}
-        for blk, data in expanded.items():
-            store.write(blk, data)
-        for blk in range(32):
-            expected = expanded.get(blk, bytes(4096))
-            assert store.read(blk, 1) == expected
 
 
 class TestSeekModel:

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.bench import harness
+from repro.core.highlight import HighLightConfig
 from repro.core.policies.ejection import (LeastWorthyEjection, LRUEjection,
                                           RandomEjection)
 from repro.core.tsegfile import TSegFile, VolumeMeta
 from repro.errors import InvalidArgument, StagingFull, TertiaryExhausted
+from repro.frontend import open_node
+from repro.lfs.check import check_filesystem
 from repro.lfs.constants import UNASSIGNED
-from repro.lfs.ifile import SEG_CACHED, SEG_STAGING
-from repro.sim.actor import Actor
+from repro.lfs.ifile import SEG_CACHED
+from repro.util.units import KB, MB
 
 
 def tsegfile(counts=(4, 4)):
@@ -123,6 +127,39 @@ class TestSegmentCacheWithFS(object):
         extra = fs.cache.acquire_line(app)
         assert extra in lines
         assert len(fs.cache) == limit - 1
+
+    def test_all_staging_lines_raise_staging_full(self, hl):
+        # Passthrough mode queues no write-outs, so a cache whose every
+        # line is staging has nothing to drain and must refuse.
+        fs, app = hl.fs, hl.app
+        for i in range(fs.cache.max_lines):
+            line = fs.cache.acquire_line(app)
+            fs.cache.register(2_000_000 + i, line, app, staging=True)
+        assert fs.sched.queued() == 0
+        with pytest.raises(StagingFull):
+            fs.cache.acquire_line(app)
+
+    def test_queued_writeouts_drain_instead_of_staging_full(self):
+        # Scheduled mode with fewer cache lines than the write-out queue
+        # limit: every line ends up pinned by a *queued* write-out, so
+        # acquiring the next line must drain one rather than fail.
+        cfg = HighLightConfig(sched_mode="scheduled", ncachesegs=8)
+        assert cfg.ncachesegs <= cfg.sched_writeout_queue_limit
+        bed = harness.make_highlight(64 * MB, n_platters=16, config=cfg)
+        client = open_node(bed)
+        files = {}
+        for i in range(24):
+            path = f"/m{i}"
+            files[path] = bytes([i + 1]) * (896 * KB)
+            bed.fs.write_path(path, files[path])
+            client.migrate(bed.app, path)
+        assert bed.fs.sched.forced_writeouts > 0
+        client.flush(bed.app)
+        client.drop_caches(bed.app)
+        for path, data in files.items():
+            assert bed.fs.read_path(path) == data
+        report = check_filesystem(bed.fs)
+        assert report.ok, report.errors
 
     def test_hit_miss_counters(self, hl):
         fs, app = hl.fs, hl.app

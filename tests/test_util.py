@@ -127,24 +127,14 @@ class TestLRUTracker:
         lru = LRUTracker()
         for k in "abc":
             lru.touch(k)
-        assert lru.lru() == "a"
-        assert lru.mru() == "c"
+        assert list(lru) == ["a", "b", "c"]
 
     def test_touch_promotes(self):
         lru = LRUTracker()
         for k in "abc":
             lru.touch(k)
-        lru.touch("a")
-        assert lru.lru() == "b"
-        assert lru.mru() == "a"
-
-    def test_pop_lru(self):
-        lru = LRUTracker()
-        for k in "ab":
-            lru.touch(k)
-        assert lru.pop_lru() == "a"
-        assert lru.pop_lru() == "b"
-        assert lru.pop_lru() is None
+        lru.touch("b")
+        assert list(lru) == ["a", "c", "b"]
 
     def test_discard(self):
         lru = LRUTracker()
@@ -152,19 +142,6 @@ class TestLRUTracker:
         lru.discard("x")
         lru.discard("never-seen")
         assert len(lru) == 0
-
-    def test_demote(self):
-        lru = LRUTracker()
-        for k in "abc":
-            lru.touch(k)
-        lru.demote("c")
-        assert lru.lru() == "c"
-
-    def test_demote_inserts(self):
-        lru = LRUTracker()
-        lru.touch("a")
-        lru.demote("fresh")
-        assert lru.lru() == "fresh"
 
     def test_iteration_order(self):
         lru = LRUTracker()
@@ -175,5 +152,6 @@ class TestLRUTracker:
 
     def test_empty(self):
         lru = LRUTracker()
-        assert lru.lru() is None
-        assert lru.mru() is None
+        assert len(lru) == 0
+        assert list(lru) == []
+        assert "a" not in lru
