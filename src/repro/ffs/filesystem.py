@@ -16,7 +16,7 @@ from repro.errors import (DirectoryNotEmpty, FileExists, FileNotFound,
                           InvalidArgument, IsADirectory, NotADirectory)
 from repro.lfs.buffercache import BufferCache
 from repro.lfs.constants import BLOCK_SIZE, ROOT_INUM
-from repro.lfs.directory import Directory
+from repro.lfs.directory import Directory, DirectoryCache
 from repro.lfs.inode import (Inode, INODE_SIZE, INODES_PER_BLOCK, S_IFDIR,
                              S_IFREG, find_inode_in_block)
 from repro.ffs.allocator import CylinderGroupAllocator
@@ -49,6 +49,7 @@ class FFS:
         self.cpu = cpu or CPUModel()
         self.actor = actor or Actor("ffs-kernel")
         self.bcache = BufferCache(self.config.bcache_bytes)
+        self._dirs = DirectoryCache()
         self._inode_table_start = 1  # block 0 is the superblock analogue
         self.allocator = CylinderGroupAllocator(
             device.capacity_blocks,
@@ -263,10 +264,7 @@ class FFS:
     # ------------------------------------------------------------------
 
     def _read_dir(self, ino: Inode, actor: Actor) -> Directory:
-        if not ino.is_dir():
-            raise NotADirectory(f"inode {ino.inum}")
-        raw = self.read(ino.inum, 0, ino.size, actor, update_atime=False)
-        return Directory.parse(raw)
+        return self._dirs.read(self.read, ino, actor)
 
     def _write_dir(self, ino: Inode, directory: Directory,
                    actor: Actor) -> None:

@@ -10,15 +10,41 @@ filesystem layer, not here; this structure is pure bookkeeping.
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import InvalidArgument
 from repro.lfs.constants import BLOCK_SIZE
-from repro.util.lru import LRUTracker
 from repro.util.units import MB
 
 BufKey = Tuple[int, int]  # (inum, logical block number)
+
+# Hit/miss/eviction counts sit on the per-block hot path, so they are
+# plain integer adds into these pending totals; :func:`flush_metrics`
+# publishes them into the obs registry before every snapshot and reset
+# (the ``datapath.count_copy`` pattern).
+_hits = 0
+_misses = 0
+_evictions = 0
+
+
+def flush_metrics() -> None:
+    """Publish and zero the pending hit/miss/eviction counts.
+    Registered as an ``obs`` flusher at import."""
+    global _hits, _misses, _evictions
+    for name, help, pending in (
+            ("buffercache_hits_total", "block buffer cache hits", _hits),
+            ("buffercache_misses_total", "block buffer cache misses",
+             _misses),
+            ("buffercache_evictions_total",
+             "clean blocks evicted to make room", _evictions)):
+        if pending:
+            obs.counter(name, help).inc(pending)
+    _hits = _misses = _evictions = 0
+
+
+obs.register_flusher(flush_metrics)
 
 
 class Buffer:
@@ -42,17 +68,12 @@ class BufferCache:
     def __init__(self, capacity_bytes: int = int(3.2 * MB)) -> None:
         self.capacity_blocks = max(8, capacity_bytes // BLOCK_SIZE)
         self._bufs: Dict[BufKey, Buffer] = {}
-        self._lru: LRUTracker[BufKey] = LRUTracker()
-        self._dirty = 0
-        self.hits = 0
-        self.misses = 0
-        # Eviction picks the least-recently-touched *clean* buffer.  A
-        # linear LRU scan re-walks the dirty prefix on every eviction —
-        # the single hottest site in the perf profile — so clean buffers
-        # are also indexed in a lazy min-heap of (last-touch seq, key).
-        # LRU order and ascending touch-seq order are the same order, so
-        # the heap minimum (after discarding stale entries) is exactly
-        # the buffer the scan would have picked.
+        # Recency is the touch sequence number alone: every use bumps
+        # ``seq``, so LRU order is ascending-seq order.  Dirty buffers
+        # are indexed by key (the segment writer's input); clean ones
+        # sit in a lazy min-heap of (last-touch seq, key) whose minimum,
+        # after discarding stale entries, is the LRU clean buffer.
+        self._dirty: Dict[BufKey, Buffer] = {}
         self._seq = 0
         self._clean_heap: List[Tuple[int, BufKey]] = []
 
@@ -60,17 +81,14 @@ class BufferCache:
         return len(self._bufs)
 
     def dirty_count(self) -> int:
-        # Maintained incrementally: needs_flush() runs on every write, so
-        # an O(cache) scan here dominates large sequential-write phases.
-        return self._dirty
+        return len(self._dirty)
 
     # -- lookup/insert -----------------------------------------------------
 
     def _touch(self, buf: Buffer) -> None:
-        """Record a use: recency order, touch seq, clean-heap entry."""
+        """Record a use: touch seq and clean-heap entry."""
         self._seq += 1
         buf.seq = self._seq
-        self._lru.touch(buf.key)
         if not buf.dirty:
             self._push_clean(buf)
 
@@ -86,15 +104,12 @@ class BufferCache:
             heapq.heapify(self._clean_heap)
 
     def get(self, key: BufKey) -> Optional[bytes]:
+        global _hits, _misses
         buf = self._bufs.get(key)
         if buf is None:
-            self.misses += 1
-            obs.counter("buffercache_misses_total",
-                        "block buffer cache misses").inc()
+            _misses += 1
             return None
-        self.hits += 1
-        obs.counter("buffercache_hits_total",
-                    "block buffer cache hits").inc()
+        _hits += 1
         self._touch(buf)
         return buf.data
 
@@ -109,22 +124,22 @@ class BufferCache:
         if existing is not None:
             existing.data = data
             if dirty and not existing.dirty:
-                self._dirty += 1
-            existing.dirty = existing.dirty or dirty
+                existing.dirty = True
+                self._dirty[key] = existing
             self._touch(existing)
             return
         self._evict_for_room()
         buf = Buffer(key, data, dirty)
         self._bufs[key] = buf
         if dirty:
-            self._dirty += 1
+            self._dirty[key] = buf
         self._touch(buf)
 
     def mark_clean(self, key: BufKey) -> None:
         buf = self._bufs.get(key)
         if buf is not None:
             if buf.dirty:
-                self._dirty -= 1
+                del self._dirty[key]
                 buf.dirty = False
                 # Now evictable at its *existing* recency (mark_clean is
                 # not a use, so the LRU position must not change).
@@ -135,6 +150,7 @@ class BufferCache:
         return buf.dirty if buf is not None else False
 
     def _evict_for_room(self) -> None:
+        global _evictions
         heap = self._clean_heap
         while len(self._bufs) >= self.capacity_blocks:
             victim = None
@@ -149,27 +165,23 @@ class BufferCache:
                 break
             if victim is None:
                 return  # everything dirty: caller must flush soon
-            self._lru.discard(victim)
             del self._bufs[victim]
-            obs.counter("buffercache_evictions_total",
-                        "clean blocks evicted to make room").inc()
+            _evictions += 1
 
     # -- bulk operations -------------------------------------------------------
 
     def dirty_buffers(self) -> List[Buffer]:
         """All dirty buffers (segment-writer input), LRU-first."""
-        return [self._bufs[k] for k in self._lru if self._bufs[k].dirty]
+        return sorted(self._dirty.values(), key=attrgetter("seq"))
 
     def dirty_for_inode(self, inum: int) -> List[Buffer]:
-        return [b for b in self._bufs.values()
-                if b.dirty and b.key[0] == inum]
+        return [b for b in self._dirty.values() if b.key[0] == inum]
 
     def invalidate(self, key: BufKey) -> None:
         """Drop one block regardless of state (truncate/unlink path)."""
         buf = self._bufs.pop(key, None)
         if buf is not None and buf.dirty:
-            self._dirty -= 1
-        self._lru.discard(key)
+            del self._dirty[key]
 
     def invalidate_inode(self, inum: int) -> None:
         for key in [k for k in self._bufs if k[0] == inum]:

@@ -9,17 +9,18 @@ without perturbing the very timestamps it ranks by (§5.3).
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.errors import FileExists, FileNotFound, InvalidArgument
+from repro.errors import (FileExists, FileNotFound, InvalidArgument,
+                          NotADirectory)
+from repro.lfs.inode import Inode
+from repro.sim.actor import Actor
 
 _ENTRY_HDR = struct.Struct("<IH")  # inum, namelen
 MAX_NAME = 255
 
 
 def _validate_name(name: str) -> bytes:
-    if not name or name in (".", ".."):
-        pass  # "." and ".." are legal entries; empty is not
     if not name:
         raise InvalidArgument("empty file name")
     raw = name.encode("utf-8")
@@ -99,3 +100,33 @@ class Directory:
 
     def items(self) -> List[Tuple[str, int]]:
         return [(n, self.entries[n]) for n in self.names()]
+
+
+class DirectoryCache:
+    """The one directory read of LFS and FFS: parse a directory only
+    when its bytes change.
+
+    The bytes always come from the filesystem's own ``read``, so CPU
+    charges, buffer-cache recency and device I/O are unchanged.  One
+    ``(raw, entries)`` slot per directory inum holds the bytes last
+    parsed and their map; the bytes are the validity check, so the
+    cleaner, recovery and inum reuse need no invalidation hook.  Callers
+    get a fresh :class:`Directory` over a copy of the map.
+    """
+
+    def __init__(self) -> None:
+        self._slots: Dict[int, Tuple[bytes, Dict[str, int]]] = {}
+
+    def read(self, read: Callable[..., bytes], ino: Inode,
+             actor: Actor) -> Directory:
+        """``read`` is the filesystem's ``read(inum, offset, nbytes,
+        actor, update_atime=...)``, passed per call so that a wrapper
+        patched onto the filesystem class later still sees the read."""
+        if not ino.is_dir():
+            raise NotADirectory(f"inode {ino.inum}")
+        raw = read(ino.inum, 0, ino.size, actor, update_atime=False)
+        slot = self._slots.get(ino.inum)
+        if slot is None or slot[0] != raw:
+            slot = (raw, unpack_entries(raw))
+            self._slots[ino.inum] = slot
+        return Directory(slot[1])

@@ -33,7 +33,7 @@ from repro.lfs.constants import (BLOCK_SIZE, DOUBLE_ROOT_LBN,
                                  NDADDR, PTRS_PER_BLOCK, RESERVED_BLOCKS,
                                  ROOT_INUM, SEGMENT_SIZE, SINGLE_ROOT_LBN,
                                  SUMMARY_SIZE_LFS, UNASSIGNED, double_child_lbn)
-from repro.lfs.directory import Directory
+from repro.lfs.directory import Directory, DirectoryCache
 from repro.lfs.ifile import IFile, IMapEntry, SEG_ACTIVE, SEG_DIRTY
 from repro.lfs.inode import (Inode, S_IFDIR, S_IFREG, find_inode_in_block)
 from repro.lfs.superblock import Checkpoint, Superblock
@@ -91,6 +91,7 @@ class LFS:
         self.cpu = cpu or CPUModel()
         self.actor = actor or Actor("lfs-kernel")
         self.bcache = BufferCache(self.config.bcache_bytes)
+        self._dirs = DirectoryCache()
         self.stats = LFSStats()
         #: Per-inode last-read lbn, for sequential read-ahead detection.
         self._last_read_lbn: Dict[int, int] = {}
@@ -527,10 +528,7 @@ class LFS:
     # ------------------------------------------------------------------
 
     def _read_dir(self, ino: Inode, actor: Actor) -> Directory:
-        if not ino.is_dir():
-            raise NotADirectory(f"inode {ino.inum}")
-        raw = self.read(ino.inum, 0, ino.size, actor, update_atime=False)
-        return Directory.parse(raw)
+        return self._dirs.read(self.read, ino, actor)
 
     def _write_dir(self, ino: Inode, directory: Directory,
                    actor: Actor) -> None:

@@ -55,7 +55,9 @@ _trace = TraceRecorder()
 # -- the process-wide instances ---------------------------------------------
 
 def metrics() -> MetricsRegistry:
-    """The process-wide metrics registry."""
+    """The process-wide metrics registry, for reading: lazily-accumulated
+    counts are published into it first (see :func:`flush`)."""
+    flush()
     return _metrics
 
 
@@ -65,8 +67,10 @@ def trace() -> TraceRecorder:
 
 
 def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry (tests); returns the old one."""
+    """Swap the process-wide registry (tests); returns the old one.
+    Pending lazy counts are published into the old one first."""
     global _metrics
+    flush()
     old, _metrics = _metrics, registry
     return old
 
@@ -106,22 +110,23 @@ def event(etype: str, t: float, **fields: object) -> Optional[TraceEvent]:
 # Hot paths that cannot afford a registry lookup per call (e.g. the
 # datapath copy ledger) accumulate into a plain process-local variable
 # and register a *flusher* here; the pending delta is published into the
-# registry right before anyone looks at it (snapshot) or wipes it
-# (reset), so readers never observe a stale metric.
+# registry right before anyone reads it (metrics(), snapshot), wipes it
+# (reset) or swaps it out (set_metrics), so readers never observe a
+# stale metric.
 
 _flushers: list = []
 
 
 def register_flusher(fn) -> None:
     """Register a callback that publishes lazily-accumulated counts into
-    the registry.  Idempotent; flushers run before every snapshot and
-    reset."""
+    the registry.  Idempotent; flushers run before every read through
+    :func:`metrics`, every snapshot, reset and registry swap."""
     if fn not in _flushers:
         _flushers.append(fn)
 
 
 def flush() -> None:
-    """Run every registered flusher (pre-snapshot/pre-reset hook)."""
+    """Run every registered flusher (pre-read/pre-reset hook)."""
     for fn in list(_flushers):
         fn()
 

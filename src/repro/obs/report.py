@@ -31,8 +31,7 @@ def snapshot(metrics: Optional[MetricsRegistry] = None,
     """
     from repro import obs
     if metrics is None:
-        obs.flush()  # publish lazily-accumulated deltas before reading
-        metrics = obs.metrics()
+        metrics = obs.metrics()  # publishes lazily-accumulated deltas
     trace = trace if trace is not None else obs.trace()
     out: Dict[str, object] = {}
     if header:

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.core.ioserver import TABLE4_CATEGORIES
+from repro.lfs.buffercache import BufferCache
 from repro.obs.registry import (DEFAULT_BUCKETS, Histogram, MetricError,
                                 MetricsRegistry)
 from repro.obs.report import render_text, snapshot, write_snapshot
@@ -347,6 +348,22 @@ class TestObsModule:
             assert old.get("swapped_total") == 0.0
         finally:
             obs.set_metrics(old)
+
+    def test_lazy_counts_are_fresh_on_read_and_swap(self):
+        """Lazily-counted metrics (the buffer cache's) are current when
+        read through metrics() and land in the registry that was
+        installed when they happened."""
+        bc = BufferCache()
+        bc.get((1, 0))
+        assert obs.metrics().get("buffercache_misses_total") == 1.0
+        bc.get((1, 0))
+        fresh = MetricsRegistry()
+        old = obs.set_metrics(fresh)
+        try:
+            assert fresh.get("buffercache_misses_total") == 0.0
+        finally:
+            obs.set_metrics(old)
+        assert old.get("buffercache_misses_total") == 2.0
 
     def test_snapshot_combines_metrics_and_trace(self):
         obs.counter("snap_total").inc()
